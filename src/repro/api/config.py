@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Type, TypeVar, Union
@@ -30,6 +31,11 @@ __all__ = [
 ]
 
 C = TypeVar("C", bound="_ConfigBase")
+
+#: Fields removed in 2.0.0.  They only chose between value-identical
+#: generation paths, so 1.x configs that still carry them load with a
+#: warning instead of being rejected.
+_RETIRED_FIELDS = ("batched", "population_batching")
 
 
 @dataclass(frozen=True)
@@ -48,8 +54,21 @@ class _ConfigBase:
 
     @classmethod
     def from_dict(cls: Type[C], data: Dict[str, Any]) -> C:
-        """Rebuild a config from :meth:`to_dict` output (extra keys rejected)."""
+        """Rebuild a config from :meth:`to_dict` output (extra keys rejected).
+
+        Keys of fields retired in 2.0.0 are dropped with one
+        :class:`DeprecationWarning`, so configs written by 1.x still load.
+        """
         known = {f.name for f in dataclasses.fields(cls)}
+        retired = sorted(set(data).intersection(_RETIRED_FIELDS))
+        if retired:
+            warnings.warn(
+                f"{cls.__name__} field(s) {', '.join(retired)} were removed in 2.0.0 "
+                "(every generation step is population-at-a-time) and are ignored",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            data = {key: value for key, value in data.items() if key not in retired}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
@@ -183,22 +202,6 @@ class EvolutionConfig(_ConfigBase):
         Optional early-stop threshold.
     accept_equal:
         Whether equal-fitness offspring replace the parent (neutral drift).
-    batched:
-        Score each generation's offspring through the vectorised
-        :func:`~repro.core.evolution.evaluate_batch` pass (byte-identical
-        to the sequential path, just faster).
-    population_batching:
-        Run the whole generation step population-batched: offspring
-        construction through
-        :func:`~repro.ea.mutation.mutate_population`, placement accounting
-        as one vectorised diff per array, and fitness through the
-        evaluation backend's fused
-        :meth:`~repro.backends.base.EvaluationBackend.evaluate_population`
-        entry point.  Byte-identical to the per-candidate path (same RNG
-        streams, same fault draws) on every backend; takes precedence over
-        ``batched``.  JSON round-trips like every other field, so it can
-        be swept or pinned as the ``evolution.population_batching``
-        campaign axis.
     fitness_cache:
         Opt-in persistent cross-run fitness cache: ``None`` (off, the
         default) or a directory path.  Evaluated candidates on fault-free
@@ -215,8 +218,7 @@ class EvolutionConfig(_ConfigBase):
         partition and dropped once their partial SAE provably exceeds the
         parent's fitness — an exact bound, so selection and the parent
         fitness trajectory stay bit-identical to exhaustive evaluation.
-        Off by default; with both this and ``fitness_cache`` off, runs
-        are byte-identical to v1.8.0.  Sweepable as the
+        Off by default.  Sweepable as the
         ``evolution.racing`` campaign axis.
     scenario:
         Optional fault-scenario timeline the run evolves under: the name
@@ -261,8 +263,6 @@ class EvolutionConfig(_ConfigBase):
     seed: Optional[int] = None
     target_fitness: Optional[float] = None
     accept_equal: bool = True
-    batched: bool = True
-    population_batching: bool = True
     fitness_cache: Optional[str] = None
     racing: bool = False
     scenario: Union[str, Mapping[str, Any], None] = None

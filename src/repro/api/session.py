@@ -17,11 +17,10 @@ artifact::
     artifact.save("run.json")
 
 Sessions are deterministic: the same configs produce byte-identical
-results to driving the legacy :mod:`repro.core.evolution` classes by
-hand with the same seeds — the batched and population-batched evaluation
-paths (``EvolutionConfig.batched`` / ``EvolutionConfig.population_batching``)
-are bit-exact against the per-candidate loop, including the per-position
-fault-RNG streams.
+results to driving the :mod:`repro.core.evolution` classes by hand with
+the same seeds, on every evaluation backend, including the per-position
+fault-RNG streams.  Every driver runs one generation step: all λ
+offspring are drawn, placed and scored as one population.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ execution, to both the south (S) and east (E) outputs." (paper §III.A)
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,13 +22,6 @@ import numpy as np
 from repro.array.pe_library import FUNCTION_ARITY, N_FUNCTIONS, PEFunction, apply_function
 
 __all__ = ["ProcessingElement"]
-
-#: Stream tag mixed into the derived per-position fault seed used when a PE
-#: is marked faulty without an explicit generator.  The derived entropy is
-#: ``SeedSequence([_PE_FAULT_STREAM_TAG, row, col])``, so the implicit
-#: stream of a PE is stable across runs and distinct per position — part of
-#: the documented RNG determinism contract (``docs/architecture.md``).
-_PE_FAULT_STREAM_TAG = 0x5EEDFA17
 
 
 @dataclass
@@ -84,38 +76,14 @@ class ProcessingElement:
             )
         self.function_gene = function_gene
 
-    def _derived_fault_rng(self) -> np.random.Generator:
-        """Deterministic per-position garbage stream for the implicit path.
-
-        Derived from the PE position (``SeedSequence([tag, row, col])``) so
-        fault behaviour stays reproducible even when no generator was
-        supplied; the owning :class:`~repro.array.systolic_array.SystolicArray`
-        normally provides a seeded ``fault_rng`` instead.
-        """
-        return np.random.default_rng(
-            np.random.SeedSequence([_PE_FAULT_STREAM_TAG, self.row, self.col])
-        )
-
-    def inject_fault(self, rng: Optional[np.random.Generator] = None) -> None:
+    def inject_fault(self, rng: np.random.Generator) -> None:
         """Mark this PE as permanently damaged (LPD at this position).
 
-        Pass the owning array's seeded generator (or any explicitly seeded
-        one) so the garbage stream is part of the experiment spec.  Calling
-        without ``rng`` is deprecated: instead of the old irreproducible
-        unseeded fallback, the stream is now derived deterministically from
-        the PE position.
+        ``rng`` is the seeded generator the garbage output is drawn from
+        (normally the owning array's per-position stream), so the stream
+        identity is part of the experiment spec.
         """
         self.faulty = True
-        if rng is None:
-            warnings.warn(
-                "ProcessingElement.inject_fault() without an rng is deprecated: "
-                "the fault stream is now derived from the PE position instead "
-                "of an unseeded generator; pass a seeded generator so the "
-                "stream identity is part of the experiment spec",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            rng = self._derived_fault_rng()
         self.fault_rng = rng
 
     def clear_fault(self) -> None:
@@ -129,10 +97,7 @@ class ProcessingElement:
         A healthy PE applies its configured function; a faulty PE returns
         uniformly random pixels of the same shape, uncorrelated with its
         inputs, which is the paper's dummy-PE fault model.  The garbage is
-        drawn from :attr:`fault_rng`; a PE made faulty without one (e.g.
-        ``ProcessingElement(..., faulty=True)``) falls back to the derived
-        per-position stream — deprecated but deterministic — and keeps the
-        generator so repeated computations advance one stream.
+        drawn from :attr:`fault_rng`, which a faulty PE must have.
         """
         west = np.asarray(west, dtype=np.uint8)
         north = np.asarray(north, dtype=np.uint8)
@@ -140,14 +105,9 @@ class ProcessingElement:
             raise ValueError(f"input shapes differ: {west.shape} vs {north.shape}")
         if self.faulty:
             if self.fault_rng is None:
-                warnings.warn(
-                    "computing a faulty ProcessingElement without a fault_rng is "
-                    "deprecated: the garbage stream is now derived from the PE "
-                    "position instead of an unseeded generator; inject the fault "
-                    "with a seeded generator to silence this",
-                    DeprecationWarning,
-                    stacklevel=2,
+                raise ValueError(
+                    "a faulty ProcessingElement needs a seeded fault_rng; "
+                    "mark it faulty with inject_fault(rng)"
                 )
-                self.fault_rng = self._derived_fault_rng()
             return self.fault_rng.integers(0, 256, size=west.shape, dtype=np.uint8)
         return apply_function(self.function_gene, west, north)

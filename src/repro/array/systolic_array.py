@@ -38,30 +38,18 @@ corresponding to a dummy PE, which generates a random value in its output").
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.array.genotype import Genotype, GenotypeSpec
-from repro.array.processing_element import _PE_FAULT_STREAM_TAG
 from repro.array.window import N_WINDOW_PIXELS, extract_windows
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import stays lazy (cycle guard)
     from repro.backends.base import EvaluationBackend
 
 __all__ = ["ArrayGeometry", "SystolicArray"]
-
-#: Stream tag mixed into the derived per-position fault seed used when
-#: :meth:`SystolicArray.inject_fault` is called without an explicit seed.
-#: The derived entropy is ``SeedSequence([_FAULT_STREAM_TAG, row, col])``,
-#: so the implicit stream of a position is stable across runs and distinct
-#: from every explicitly seeded stream.  Shared with (imported from)
-#: :class:`~repro.array.processing_element.ProcessingElement` so a bare PE
-#: and an array position derive the *same* stream — part of the documented
-#: RNG determinism contract (see ``docs/architecture.md``).
-_FAULT_STREAM_TAG = _PE_FAULT_STREAM_TAG
 
 
 @dataclass(frozen=True)
@@ -137,10 +125,10 @@ class SystolicArray:
     ) -> None:
         self.geometry = geometry
         self._fault_rngs: Dict[Tuple[int, int], np.random.Generator] = {}
-        # The entropy each position's stream was created from, kept so
+        # The seed each position's stream was created from, kept so
         # reset_fault_streams() can rewind a reused array to generation
         # zero of the same garbage sequence.
-        self._fault_seeds: Dict[Tuple[int, int], Union[int, Tuple[int, ...], None]] = {}
+        self._fault_seeds: Dict[Tuple[int, int], int] = {}
         if faults:
             for position, seed in faults.items():
                 self.inject_fault(position, seed)
@@ -187,43 +175,20 @@ class SystolicArray:
             )
         return row, col
 
-    @staticmethod
-    def _spawn_fault_rng(entropy: Union[int, Tuple[int, ...]]) -> np.random.Generator:
-        if isinstance(entropy, tuple):
-            return np.random.default_rng(np.random.SeedSequence(list(entropy)))
-        return np.random.default_rng(entropy)
-
-    def inject_fault(self, position: Tuple[int, int], seed: Optional[int] = None) -> None:
+    def inject_fault(self, position: Tuple[int, int], seed: int) -> None:
         """Mark a PE position as permanently damaged.
 
         The faulty PE will output random pixels on every evaluation; evolution
         can only recover by routing useful computation around that position.
 
-        Each faulty position owns an independent, seeded random stream,
-        (re)started here: injecting the same seed at the same position
-        always reproduces the same garbage sequence, which is what makes
-        fault campaigns replayable.  When ``seed`` is omitted the stream is
-        derived deterministically from the position
-        (``SeedSequence([_FAULT_STREAM_TAG, row, col])``) instead of the
-        old unseeded fallback; relying on the implicit derivation is
-        deprecated — pass an explicit seed so the stream identity is part
-        of the experiment spec.
+        Each faulty position owns an independent random stream seeded by
+        ``seed`` and (re)started here: injecting the same seed at the same
+        position always reproduces the same garbage sequence, which is what
+        makes fault campaigns replayable.
         """
         row, col = self._check_position(position)
-        if seed is None:
-            warnings.warn(
-                "SystolicArray.inject_fault() without a seed is deprecated: the "
-                "fault stream is now derived from the PE position instead of an "
-                "unseeded generator; pass an explicit seed to make the stream "
-                "identity part of the experiment spec",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            entropy: Union[int, Tuple[int, ...]] = (_FAULT_STREAM_TAG, row, col)
-        else:
-            entropy = int(seed)
-        self._fault_seeds[(row, col)] = entropy
-        self._fault_rngs[(row, col)] = self._spawn_fault_rng(entropy)
+        self._fault_seeds[(row, col)] = int(seed)
+        self._fault_rngs[(row, col)] = np.random.default_rng(int(seed))
 
     def clear_fault(self, position: Tuple[int, int]) -> None:
         """Remove a previously injected fault (used by tests and scrubbing of SEUs)."""
@@ -242,16 +207,16 @@ class SystolicArray:
         Evaluation consumes the per-position streams, so re-running a fault
         scenario on a *reused* array would otherwise continue mid-stream
         and produce different garbage than the first run.  This rewinds
-        each position's generator to the entropy it was injected with,
+        each position's generator to the seed it was injected with,
         making the next evaluation byte-identical to the first one after
         injection.  (:meth:`~repro.core.acb.ArrayControlBlock.sync_faults`
         achieves the same by re-injecting from the fabric state.)
         """
-        for position, entropy in self._fault_seeds.items():
-            self._fault_rngs[position] = self._spawn_fault_rng(entropy)
+        for position, seed in self._fault_seeds.items():
+            self._fault_rngs[position] = np.random.default_rng(seed)
 
-    def fault_seed(self, position: Tuple[int, int]) -> Union[int, Tuple[int, ...]]:
-        """The entropy a faulty position's stream was created from."""
+    def fault_seed(self, position: Tuple[int, int]) -> int:
+        """The seed a faulty position's stream was created from."""
         return self._fault_seeds[position]
 
     def is_faulty(self, position: Tuple[int, int]) -> bool:
@@ -319,7 +284,7 @@ class SystolicArray:
     ) -> np.ndarray:
         """Evaluate a batch of candidate circuits in one windowed NumPy pass.
 
-        This is the vectorised hot path behind ``evaluate_batch``: instead of
+        This is the vectorised batch entry point of the backends: instead of
         sweeping the array once per candidate (``len(genotypes)`` passes of
         ``rows*cols`` whole-image operations each), the whole batch is handed
         to the evaluation backend, which exploits the genes the candidates

@@ -16,10 +16,9 @@ arrays.  This module replaces all three with two audited components:
 * :class:`PersistentFitnessCache` — the opt-in cross-run tier.  An
   append-only JSONL index of canonical fitness signatures
   (:func:`repro.backends.signature.fitness_key`) under the same
-  fcntl/atomic-write discipline as the campaign store
-  (:mod:`repro.runtime.store` — reimplemented here, not imported, so
-  the backends layer stays below the runtime layer), safe to share
-  between concurrent campaign workers.
+  lock, atomic-write and torn-tail healing primitives as the campaign
+  store (:mod:`repro.jsonl`), safe to share between concurrent campaign
+  workers.
 
 Fault-tainted evaluations embed per-call random draws and are *never*
 cached by either tier; they are counted as bypasses so the blindness the
@@ -31,16 +30,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Union
 
-try:  # pragma: no cover - import guard exercised implicitly per platform
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
+from repro.jsonl import append_lines
+from repro.jsonl import atomic_write_text as _atomic_write_text
+from repro.jsonl import file_lock as _file_lock
 
 __all__ = ["CacheStats", "FitnessCache", "PersistentFitnessCache"]
 
@@ -138,39 +134,6 @@ class FitnessCache:
         self._entries.clear()
         self.scope_data = None
         self._scope_token = None
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Atomic write (temp file + ``os.replace``), as in the campaign store."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-@contextmanager
-def _file_lock(lock_path: Path):
-    """Advisory exclusive ``fcntl`` lock (no-op where unavailable)."""
-    if fcntl is None:  # pragma: no cover - non-POSIX fallback
-        yield
-        return
-    with open(lock_path, "a+b") as handle:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
 class PersistentFitnessCache:
@@ -292,10 +255,7 @@ class PersistentFitnessCache:
                     json.dumps({"key": key, "fitness": value}, sort_keys=True) + "\n"
                     for key, value in fresh.items()
                 )
-                with open(self.index_path, "a", encoding="utf-8") as handle:
-                    handle.write(lines)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                append_lines(self.index_path, lines)
                 self._entries.update(fresh)
                 self._loaded_size = self.index_path.stat().st_size
         return len(fresh)

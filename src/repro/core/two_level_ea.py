@@ -25,13 +25,13 @@ better fitness (Fig. 15).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.array.genotype import Genotype
 from repro.core.evolution import ParallelEvolution, ArrayEvalContext
-from repro.ea.mutation import MutationResult, mutate, population_mutator
+from repro.ea.mutation import MutationResult, population_mutator
 
 __all__ = ["TwoLevelMutationEvolution"]
 
@@ -73,66 +73,25 @@ class TwoLevelMutationEvolution(ParallelEvolution):
         of the offspring evaluated on array *j* in the *previous* batch, so
         consecutive circuits on the same array differ by very few genes and
         the reconfiguration engine has almost nothing to rewrite.
-        """
-        if self.population_batching:
-            return self._generation_offspring_population(parent)
-        plan: List[Tuple[int, MutationResult]] = []
-        previous_batch: List[Genotype] = []
 
-        n_batches = -(-self.n_offspring // self.n_arrays)
-        produced = 0
-        for batch in range(n_batches):
-            current_batch: List[Genotype] = []
-            for slot in range(self.n_arrays):
-                if produced >= self.n_offspring:
-                    break
-                if batch == 0:
-                    mutation = mutate(parent, self.mutation_rate, self.rng)
-                else:
-                    source = previous_batch[slot] if slot < len(previous_batch) else parent
-                    mutation = mutate(source, self.low_mutation_rate, self.rng)
-                plan.append((slot, mutation))
-                current_batch.append(mutation.genotype)
-                produced += 1
-            previous_batch = current_batch
-        return plan
-
-    def _generation_offspring_population(
-        self, parent: Genotype
-    ) -> List[Tuple[int, MutationResult]]:
-        """Population-batched two-level plan, byte-identical to the loop above.
-
-        The chained low-rate mutations make each offspring depend on the
-        *flat gene vector* of the offspring evaluated on the same array in
-        the previous batch, so the whole generation is built over flat
-        vectors through the shared
-        :class:`~repro.ea.mutation.PopulationMutator` — same RNG calls in
-        the same plan order, none of the per-call genotype plumbing.
+        The chained mutations make each offspring depend on the flat gene
+        vector of its predecessor on the same array, so the whole plan is
+        built over flat vectors through the shared
+        :class:`~repro.ea.mutation.PopulationMutator`, in plan order.
         """
         mutator = population_mutator(parent.spec)
-        parent_flat: Optional[np.ndarray] = None
+        parent_flat = mutator.to_flat(parent)
         plan: List[Tuple[int, MutationResult]] = []
         previous_flats: List[np.ndarray] = []
-
-        n_batches = -(-self.n_offspring // self.n_arrays)
-        produced = 0
-        for batch in range(n_batches):
+        for batch in range(-(-self.n_offspring // self.n_arrays)):
             current_flats: List[np.ndarray] = []
-            for slot in range(self.n_arrays):
-                if produced >= self.n_offspring:
-                    break
-                if parent_flat is None:
-                    parent_flat = mutator.to_flat(parent)
+            for slot in range(min(self.n_arrays, self.n_offspring - len(plan))):
                 if batch == 0:
                     source_flat, rate = parent_flat, self.mutation_rate
-                else:
-                    source_flat = (
-                        previous_flats[slot] if slot < len(previous_flats) else parent_flat
-                    )
-                    rate = self.low_mutation_rate
+                else:  # every batch before the last is full
+                    source_flat, rate = previous_flats[slot], self.low_mutation_rate
                 child_flat, mutation = mutator.mutate_flat(source_flat, rate, self.rng)
                 plan.append((slot, mutation))
                 current_flats.append(child_flat)
-                produced += 1
             previous_flats = current_flats
         return plan

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from repro.array.genotype import GeneKind, Genotype, GenotypeSpec
+from repro.array.genotype import Genotype, GenotypeSpec
 
 __all__ = [
     "MutationResult",
@@ -62,6 +62,9 @@ def mutate(
 ) -> MutationResult:
     """Create an offspring by mutating ``n_mutations`` genes of ``parent``.
 
+    The single-offspring case of :class:`PopulationMutator`, so one
+    implementation owns the RNG draw order of every mutation.
+
     Parameters
     ----------
     parent:
@@ -77,54 +80,20 @@ def mutate(
     MutationResult
         The offspring and the bookkeeping needed by the timing model.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    spec = parent.spec
-    if not 1 <= n_mutations <= spec.n_genes:
-        raise ValueError(
-            f"n_mutations must be in [1, {spec.n_genes}], got {n_mutations}"
-        )
-
-    child = parent.copy()
-    flat = child.to_flat()
-    indices = rng.choice(spec.n_genes, size=n_mutations, replace=False)
-
-    changed_pe_positions: List[Tuple[int, int]] = []
-    for index in sorted(int(i) for i in indices):
-        alphabet = spec.gene_alphabet_size(index)
-        current = int(flat[index])
-        if alphabet <= 1:
-            continue  # degenerate alphabet (1x1 arrays): nothing to change
-        # Draw a *different* value so every mutation is effective.
-        new_value = int(rng.integers(0, alphabet - 1))
-        if new_value >= current:
-            new_value += 1
-        flat[index] = new_value
-        if spec.gene_kind(index) == GeneKind.FUNCTION:
-            changed_pe_positions.append((index // spec.cols, index % spec.cols))
-
-    offspring = Genotype.from_flat(spec, flat)
-    return MutationResult(
-        genotype=offspring,
-        mutated_indices=[int(i) for i in sorted(int(i) for i in indices)],
-        changed_pe_positions=changed_pe_positions,
-    )
+    return mutate_population(parent, n_mutations, rng, 1)[0]
 
 
 class PopulationMutator:
-    """Batched mutation over flat gene vectors, bit-exact against :func:`mutate`.
+    """The mutation operator, over flat gene vectors.
 
-    The population-batched evolution engine creates a whole generation of
-    offspring before evaluating any of them, which makes the per-call
-    overhead of :func:`mutate` (genotype copy, flat round-trip, per-gene
-    alphabet lookups, full validation of values that are valid by
-    construction) the dominant cost of a generation.  This helper hoists
-    every per-spec computation out of the loop and builds offspring through
-    an unvalidated constructor, while drawing from the generator with
-    *exactly the same calls in exactly the same order* as repeated
-    :func:`mutate` invocations — so a population-mutated run consumes the
-    RNG stream identically to a per-candidate run and stays byte-identical
-    (``tests/core/test_population_parity.py`` enforces this).
+    Every offspring of every generation is built here (:func:`mutate` and
+    :func:`mutate_population` delegate to it).  Each offspring draws one
+    ``rng.choice`` of the ``k`` gene positions, then one ``rng.integers``
+    per changed gene in ascending position order; the draw order is pinned
+    by ``tests/core/test_golden_trajectories.py``.  Per-spec tables (gene
+    alphabets, layout offsets) are computed once, and offspring are built
+    through an unvalidated constructor, since mutated values are inside
+    their alphabets by construction.
 
     Instances are cheap and stateless apart from the precomputed tables;
     one per :class:`~repro.array.genotype.GenotypeSpec` is cached by
@@ -175,8 +144,10 @@ class PopulationMutator:
     ) -> Tuple[np.ndarray, "MutationResult"]:
         """One offspring from a parent flat vector; returns (child_flat, result).
 
-        Draws ``rng.choice`` + per-gene ``rng.integers`` exactly as
-        :func:`mutate` does, so both paths consume the same stream.
+        Picks ``n_mutations`` distinct gene positions uniformly at random
+        and replaces each with a *different* value from its alphabet, so
+        every mutation is effective (genes with a one-value alphabet, as
+        on 1x1 arrays, are left unchanged).
         """
         if not 1 <= n_mutations <= self.n_genes:
             raise ValueError(
@@ -194,6 +165,7 @@ class PopulationMutator:
             if alphabet <= 1:
                 continue  # degenerate alphabet (1x1 arrays): nothing to change
             current = int(flat[index])
+            # Draw a *different* value so every mutation is effective.
             new_value = int(rng.integers(0, alphabet - 1))
             if new_value >= current:
                 new_value += 1
@@ -240,14 +212,12 @@ def mutate_population(
     rng: Union[int, np.random.Generator, None],
     n_offspring: int,
 ) -> List[MutationResult]:
-    """A whole generation of offspring in one call, bit-exact vs :func:`mutate`.
+    """A whole generation of offspring in one call.
 
-    Returns the same :class:`MutationResult` objects (same genotypes, same
-    ``mutated_indices``/``changed_pe_positions``, same RNG stream
-    consumption) as ``[mutate(parent, n_mutations, rng) for _ in
+    Equal to ``[mutate(parent, n_mutations, rng) for _ in
     range(n_offspring)]``, with the per-call genotype plumbing hoisted out
     of the loop.  This is the offspring-construction half of the
-    population-batched generation step.
+    generation step.
     """
     if n_offspring < 1:
         raise ValueError(f"n_offspring must be >= 1, got {n_offspring}")

@@ -24,9 +24,10 @@ server):
   later resume would trust;
 * index appends are serialised with an advisory ``fcntl`` file lock
   (where available), so two processes appending at once cannot
-  interleave partial lines — the newline-healing in :meth:`record` and
-  the corrupt-line tolerance in :meth:`index` remain as crash recovery,
-  not as a substitute for mutual exclusion.
+  interleave partial lines — the torn-tail healing of every append
+  (:func:`repro.jsonl.append_lines`) and the corrupt-line tolerance in
+  :meth:`index` remain as crash recovery, not as a substitute for
+  mutual exclusion.
 
 Index entries carry each run's content :meth:`~repro.runtime.campaign.RunSpec.signature`,
 which is what the service layer's :class:`DedupeCache` keys on: a run
@@ -39,19 +40,15 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
-try:  # pragma: no cover - import guard exercised implicitly per platform
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
 from repro.api.artifact import RunArtifact
+from repro.jsonl import append_lines
+from repro.jsonl import atomic_write_text as _atomic_write_text
+from repro.jsonl import file_lock as _file_lock
 from repro.runtime.campaign import CampaignSpec, RunSpec
 
 __all__ = ["CampaignStore", "DedupeCache"]
@@ -63,50 +60,6 @@ RUNS_DIR = "runs"
 
 #: Index statuses that carry a loadable artifact (and are skipped on resume).
 ARTIFACT_STATUSES = ("completed", "cached")
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    A reader can only ever observe the old content or the complete new
-    content — never a truncated file — even if the writer is killed
-    mid-write.  The temp file lives in the destination directory so the
-    replace stays on one filesystem.
-    """
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-@contextmanager
-def _file_lock(lock_path: Path):
-    """Advisory exclusive lock scoped to the ``with`` block.
-
-    Uses ``fcntl.flock`` where available (POSIX); elsewhere the lock
-    degrades to a no-op and the append-side newline healing remains the
-    only interleaving defence.
-    """
-    if fcntl is None:  # pragma: no cover - non-POSIX fallback
-        yield
-        return
-    with open(lock_path, "a+b") as handle:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
 class CampaignStore:
@@ -297,27 +250,13 @@ class CampaignStore:
         """Append one index line under the store's advisory lock.
 
         The lock serialises concurrent appenders (multiple workers
-        sharing one store); the newline healing below remains as crash
-        recovery — a writer killed mid-append leaves the index without a
-        trailing newline, and the *next* append must not concatenate onto
-        the orphan fragment (the fragment itself is then dropped by
-        :meth:`index`'s parser).
+        sharing one store); :func:`~repro.jsonl.append_lines` heals the
+        torn tail a killed writer leaves (the fragment itself is then
+        dropped by :meth:`index`'s parser).
         """
         self.root.mkdir(parents=True, exist_ok=True)
         with _file_lock(self.lock_path):
-            needs_newline = False
-            if self.index_path.exists():
-                with self.index_path.open("rb") as handle:
-                    handle.seek(0, os.SEEK_END)
-                    if handle.tell() > 0:
-                        handle.seek(-1, os.SEEK_END)
-                        needs_newline = handle.read(1) != b"\n"
-            with self.index_path.open("a", encoding="utf-8") as handle:
-                if needs_newline:
-                    handle.write("\n")
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            append_lines(self.index_path, line + "\n")
 
     def load_artifact(self, run_id: str) -> RunArtifact:
         """Load one completed run's artifact back from disk."""
@@ -477,10 +416,7 @@ class DedupeCache:
                     "artifact": f"{self.ARTIFACTS_DIR}/{signature}.json",
                     **meta,
                 }
-                with self.index_path.open("a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                append_lines(self.index_path, json.dumps(entry, sort_keys=True) + "\n")
                 self._entries[signature] = entry
                 self._loaded_size = self.index_path.stat().st_size
         return True

@@ -615,7 +615,6 @@ class RedTeamConfig(_ConfigBase):
     healing_generations: int = 5
     mission_offspring: int = 9
     mission_mutation_rate: int = 3
-    population_batching: bool = True
 
     def __post_init__(self) -> None:
         if isinstance(self.bounds, Mapping):
@@ -662,7 +661,6 @@ def build_mission_campaign(
             n_offspring=config.mission_offspring,
             mutation_rate=config.mission_mutation_rate,
             seed=config.seed,
-            population_batching=config.population_batching,
         ),
         task=TaskSpec(
             task="salt_pepper_denoise",

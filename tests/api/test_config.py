@@ -1,5 +1,7 @@
 """Config dataclasses: validation and dict/JSON round-tripping."""
 
+import warnings
+
 import pytest
 
 from repro.api.config import (
@@ -20,7 +22,7 @@ ALL_CONFIGS = [
         seed=13,
         target_fitness=1000.0,
         accept_equal=False,
-        batched=False,
+        racing=True,
         options={"fitness_mode": "merged", "schedule": "interleaved", "n_stages": 2},
     ),
     TaskSpec(task="edge_detect", image_side=48, noise_level=0.2, image_kind="shapes", seed=3),
@@ -55,6 +57,36 @@ class TestRoundTrip:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="does not accept"):
             PlatformConfig.from_dict({"n_arrays": 3, "bogus": 1})
+
+    def test_from_dict_drops_retired_fields_with_one_warning(self):
+        """1.x configs still carry ``batched``/``population_batching``."""
+        data = {**EvolutionConfig(seed=3).to_dict(), "batched": True,
+                "population_batching": False}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = EvolutionConfig.from_dict(data)
+        assert config == EvolutionConfig(seed=3)
+        assert [w.category for w in caught] == [DeprecationWarning]
+        assert "population_batching" in str(caught[0].message)
+
+    def test_run_spec_with_retired_fields_loads_with_one_warning(self):
+        from repro.runtime import RunSpec
+
+        spec = RunSpec(campaign="legacy", index=0, run_id="run-0", runner="evolve", seed=1,
+                       platform=PlatformConfig(seed=1), evolution=EvolutionConfig(seed=1),
+                       task=TaskSpec(seed=1))
+        data = spec.to_dict()
+        data["evolution"] = {**data["evolution"], "batched": True,
+                             "population_batching": True}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = RunSpec.from_dict(data)
+        assert loaded == spec
+        assert [w.category for w in caught] == [DeprecationWarning]
+
+    def test_retired_fields_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            EvolutionConfig(population_batching=True)
 
     def test_replace(self):
         config = EvolutionConfig(strategy="parallel")

@@ -1,13 +1,14 @@
-"""Bit-parity of the population-batched evolution engine.
+"""Bit-parity of the population generation step.
 
-The population path — ``mutate_population`` offspring construction,
-vectorised placement accounting and the backend's fused
-``evaluate_population`` entry point — must be *byte-identical* to the
-per-candidate loop for fixed seeds: same fitness floats, same genotypes,
-same reconfiguration counts, same fault-RNG stream consumption.  This
-suite pins that contract across both shipped backends, every driver and
-at least one fault pattern, at the artifact level (serialised results)
-and at each layer underneath.
+Every driver runs one generation step — ``mutate_population`` offspring
+construction, vectorised placement accounting and the backend's fused
+``evaluate_population`` entry point.  Each layer must match its
+per-candidate definition for fixed seeds (same fitness floats, same
+genotypes, same reconfiguration counts, same fault-RNG stream
+consumption), and whole runs must be byte-identical on every backend,
+with and without faults, at the driver and the artifact level.  The
+recorded trajectories themselves are pinned by
+``tests/core/test_golden_trajectories.py``.
 """
 
 import json
@@ -15,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api.config import EvolutionConfig, PlatformConfig
+from repro.api.config import EvolutionConfig
 from repro.api.session import EvolutionSession
 from repro.array.genotype import Genotype, GenotypeSpec
 from repro.array.systolic_array import SystolicArray
@@ -185,12 +186,13 @@ class TestMutatePopulation:
 # --------------------------------------------------------------------------- #
 class TestEvalContext:
     def test_place_population_matches_sequential(self, pair):
+        """Placing a population equals placing its candidates one at a time."""
         platform_a = EvolvableHardwarePlatform(n_arrays=1, seed=1)
         platform_b = EvolvableHardwarePlatform(n_arrays=1, seed=1)
         context_a = ArrayEvalContext(platform_a, 0, pair.training)
         context_b = ArrayEvalContext(platform_b, 0, pair.training)
         genotypes = [Genotype.random(rng=np.random.default_rng(s)) for s in range(7)]
-        sequential = [context_a.place(genotype) for genotype in genotypes]
+        sequential = [context_a.place_population([genotype])[0] for genotype in genotypes]
         batched = context_b.place_population(genotypes)
         assert sequential == batched
         assert np.array_equal(context_a.placed_functions, context_b.placed_functions)
@@ -238,79 +240,65 @@ class TestEvalContext:
 
 
 # --------------------------------------------------------------------------- #
-# Driver level: every evolution mode, both backends, with and without faults
+# Driver level: every evolution mode on every backend, with and without faults
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("faults", FAULTS)
 class TestDriverParity:
-    def _drivers(self, backend, faults, population_batching, **kwargs):
-        return dict(
-            platform=make_platform(backend, faults),
-            n_offspring=9,
-            mutation_rate=3,
-            rng=11,
-            population_batching=population_batching,
-            **kwargs,
-        )
+    """Each run must equal the same run on a fresh ``reference`` platform
+    (for ``backend="reference"`` that is a replay of the run)."""
+
+    @staticmethod
+    def _parity(run, backend):
+        assert_results_equal(run(backend), run("reference"))
+
+    def _driver(self, cls, backend, faults, **kwargs):
+        return cls(make_platform(backend, faults), n_offspring=9, mutation_rate=3,
+                   rng=11, **kwargs)
 
     def test_parallel(self, backend, faults, pair):
-        a = ParallelEvolution(**self._drivers(backend, faults, False)).run(
-            pair.training, pair.reference, n_generations=15
+        self._parity(
+            lambda engine: self._driver(ParallelEvolution, engine, faults).run(
+                pair.training, pair.reference, n_generations=15
+            ),
+            backend,
         )
-        b = ParallelEvolution(**self._drivers(backend, faults, True)).run(
-            pair.training, pair.reference, n_generations=15
-        )
-        assert_results_equal(a, b)
 
     def test_two_level(self, backend, faults, pair):
-        a = TwoLevelMutationEvolution(**self._drivers(backend, faults, False)).run(
-            pair.training, pair.reference, n_generations=15
+        self._parity(
+            lambda engine: self._driver(TwoLevelMutationEvolution, engine, faults).run(
+                pair.training, pair.reference, n_generations=15
+            ),
+            backend,
         )
-        b = TwoLevelMutationEvolution(**self._drivers(backend, faults, True)).run(
-            pair.training, pair.reference, n_generations=15
-        )
-        assert_results_equal(a, b)
 
     def test_independent(self, backend, faults, pair):
         tasks = {index: (pair.training, pair.reference) for index in range(3)}
-        a = IndependentEvolution(**self._drivers(backend, faults, False)).run(
-            tasks, n_generations=8
+        self._parity(
+            lambda engine: self._driver(IndependentEvolution, engine, faults).run(
+                tasks, n_generations=8
+            ),
+            backend,
         )
-        b = IndependentEvolution(**self._drivers(backend, faults, True)).run(
-            tasks, n_generations=8
-        )
-        assert_results_equal(a, b)
 
     @pytest.mark.parametrize("fitness_mode", list(CascadeFitnessMode))
     @pytest.mark.parametrize("schedule", list(CascadeSchedule))
     def test_cascaded(self, backend, faults, fitness_mode, schedule, pair):
-        a = CascadedEvolution(
-            **self._drivers(backend, faults, False),
-            fitness_mode=fitness_mode,
-            schedule=schedule,
-        ).run(pair.training, pair.reference, n_generations=5)
-        b = CascadedEvolution(
-            **self._drivers(backend, faults, True),
-            fitness_mode=fitness_mode,
-            schedule=schedule,
-        ).run(pair.training, pair.reference, n_generations=5)
-        assert_results_equal(a, b)
+        self._parity(
+            lambda engine: self._driver(
+                CascadedEvolution, engine, faults, fitness_mode=fitness_mode, schedule=schedule
+            ).run(pair.training, pair.reference, n_generations=5),
+            backend,
+        )
 
     def test_imitation(self, backend, faults, pair):
-        def run(population_batching):
-            platform = make_platform(backend, faults)
-            master = Genotype.random(platform.spec, np.random.default_rng(21))
-            platform.configure_array(1, master)
-            driver = ImitationEvolution(
-                platform,
-                n_offspring=9,
-                mutation_rate=3,
-                rng=11,
-                population_batching=population_batching,
-            )
+        def run(engine):
+            driver = self._driver(ImitationEvolution, engine, faults)
+            master = Genotype.random(driver.platform.spec, np.random.default_rng(21))
+            driver.platform.configure_array(1, master)
             return driver.run(0, 1, pair.training, n_generations=10)
 
-        assert_results_equal(run(False), run(True))
+        self._parity(run, backend)
 
 
 # --------------------------------------------------------------------------- #
@@ -376,24 +364,18 @@ class TestFitnessCacheTelemetry:
 @pytest.mark.parametrize("faults", FAULTS)
 def test_session_artifacts_byte_identical(backend, faults, pair):
     """The acceptance-criterion form of the contract: for fixed seeds the
-    serialised run results are byte-identical with population batching on
-    and off, on both backends, with and without faults."""
+    serialised run results are byte-identical on every backend (and on a
+    replay), with and without faults."""
 
-    def run(population_batching: bool) -> str:
+    def run(engine: str) -> str:
         session = EvolutionSession(
-            make_platform(backend, faults),
-            EvolutionConfig(
-                strategy="parallel",
-                n_generations=12,
-                seed=11,
-                batched=False,
-                population_batching=population_batching,
-            ),
+            make_platform(engine, faults),
+            EvolutionConfig(strategy="parallel", n_generations=12, seed=11),
         )
         artifact = session.evolve((pair.training, pair.reference))
         return json.dumps(artifact.results, sort_keys=True)
 
-    assert run(False) == run(True)
+    assert run(backend) == run("reference")
 
 
 # --------------------------------------------------------------------------- #
@@ -405,6 +387,8 @@ class TestOnePlusLambdaPopulation:
         return FitnessEvaluator(array, pair.training, pair.reference)
 
     def test_population_run_matches_sequential(self, pair):
+        """Scoring offspring through the ``evaluate_population`` hook and one
+        ``evaluate`` call at a time gives the same run."""
         spec = GenotypeSpec()
 
         def run(population):
@@ -418,7 +402,6 @@ class TestOnePlusLambdaPopulation:
                 evaluate_population=(
                     evaluator.evaluate_population if population else None
                 ),
-                population_batching=population,
             )
             return es.run(n_generations=10)
 

@@ -156,6 +156,17 @@ class TestPersistentTier:
         assert pruned["dropped"] == 1 and pruned["kept"] == before
         assert cache.verify() == []
 
+    def test_publish_after_torn_fragment_keeps_every_entry(self, tmp_path):
+        """A publisher killed mid-append leaves no trailing newline; the next
+        publish must not glue its first entry onto the fragment."""
+        cache = PersistentFitnessCache(tmp_path / "fcache")
+        assert cache.publish({"a": 1.0}) == 1
+        with open(cache.index_path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "torn", "fitn')
+        assert PersistentFitnessCache(tmp_path / "fcache").publish({"b": 2.0, "c": 3.0}) == 2
+        reader = PersistentFitnessCache(tmp_path / "fcache")
+        assert reader.lookup(["a", "b", "c", "torn"]) == {"a": 1.0, "b": 2.0, "c": 3.0}
+
     def test_resolve_persistent_cache_coercion(self, tmp_path):
         assert resolve_persistent_cache(None) is None
         from_path = resolve_persistent_cache(tmp_path / "fcache")

@@ -128,7 +128,6 @@ class TestGenerationHook:
     def test_hook_composes_with_population_batching(self, spec):
         calls = []
         es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=3,
-                             mutation_rate=1, rng=0, population_batching=True,
-                             generation_hook=calls.append)
+                             mutation_rate=1, rng=0, generation_hook=calls.append)
         es.run(n_generations=3)
         assert calls == [1, 2, 3]

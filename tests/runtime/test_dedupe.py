@@ -55,6 +55,18 @@ class TestDedupeCache:
         reopened = DedupeCache(tmp_path / "cache")
         assert reopened.signatures() == {"sig-good"}
 
+    def test_publish_after_torn_fragment_is_not_lost(self, tmp_path):
+        """A writer killed mid-append leaves no trailing newline; the next
+        publish must not glue its entry onto the fragment."""
+        cache = DedupeCache(tmp_path / "cache")
+        cache.publish("sig-a", {"results": {"v": 1}})
+        with cache.index_path.open("a", encoding="utf-8") as handle:
+            handle.write('{"signature": "sig-torn')
+        assert DedupeCache(tmp_path / "cache").publish("sig-b", {"results": {"v": 2}})
+        reader = DedupeCache(tmp_path / "cache")
+        assert reader.signatures() == {"sig-a", "sig-b"}
+        assert reader.lookup("sig-b") == {"results": {"v": 2}}
+
 
 class TestEngineDedupe:
     def test_identical_campaign_is_served_entirely_from_cache(

@@ -101,7 +101,7 @@ def test_docs_mention_every_backend_and_gate():
     for name in BACKENDS.names():
         assert f"`{name}`" in text, f"performance.md does not document backend {name!r}"
     for bench in (
-        "test_bench_batch_eval.py",
+        "test_bench_fitness_pipeline.py",
         "test_bench_backends.py",
         "test_bench_campaign.py",
     ):

@@ -48,41 +48,17 @@ def test_no_unseeded_default_rng_anywhere_in_src():
 
 
 class TestProcessingElement:
-    def test_implicit_inject_fault_warns_and_is_deterministic(self):
-        def garbage():
-            pe = ProcessingElement(row=2, col=3)
-            with pytest.warns(DeprecationWarning):
-                pe.inject_fault()
-            return pe.compute(
-                np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 4), dtype=np.uint8)
-            )
+    def test_inject_fault_requires_an_rng(self):
+        pe = ProcessingElement(row=2, col=3)
+        with pytest.raises(TypeError):
+            pe.inject_fault()
+        assert not pe.faulty
 
-        assert np.array_equal(garbage(), garbage())
-
-    def test_derived_streams_differ_per_position(self):
-        def garbage(row, col):
-            pe = ProcessingElement(row=row, col=col)
-            with pytest.warns(DeprecationWarning):
-                pe.inject_fault()
-            return pe.compute(
-                np.zeros((8, 8), dtype=np.uint8), np.zeros((8, 8), dtype=np.uint8)
-            )
-
-        assert not np.array_equal(garbage(0, 0), garbage(0, 1))
-
-    def test_compute_fallback_warns_persists_stream(self):
+    def test_compute_without_fault_rng_raises(self):
         pe = ProcessingElement(row=1, col=1, faulty=True)
         west = np.zeros((4, 4), dtype=np.uint8)
-        with pytest.warns(DeprecationWarning):
-            first = pe.compute(west, west)
-        # The derived generator is kept, so the stream advances instead of
-        # restarting — and no further warning is emitted.
-        second = pe.compute(west, west)
-        twin = ProcessingElement(row=1, col=1, faulty=True)
-        with pytest.warns(DeprecationWarning):
-            twin_first = twin.compute(west, west)
-        assert np.array_equal(first, twin_first)
-        assert np.array_equal(second, twin.compute(west, west))
+        with pytest.raises(ValueError, match="fault_rng"):
+            pe.compute(west, west)
 
     def test_explicit_rng_does_not_warn(self, recwarn):
         pe = ProcessingElement(row=0, col=0)
@@ -128,15 +104,11 @@ class TestFpgaFabric:
 
 
 class TestSystolicArrayStreams:
-    def test_implicit_inject_warns_and_derives_from_position(self):
-        def garbage(position):
-            array = SystolicArray()
-            with pytest.warns(DeprecationWarning):
-                array.inject_fault(position)
-            return array.fault_rng(position).integers(0, 256, size=8, dtype=np.uint8)
-
-        assert np.array_equal(garbage((2, 1)), garbage((2, 1)))
-        assert not np.array_equal(garbage((2, 1)), garbage((1, 2)))
+    def test_inject_without_seed_raises(self):
+        array = SystolicArray()
+        with pytest.raises(TypeError):
+            array.inject_fault((2, 1))
+        assert array.faulty_positions == ()
 
     def test_reset_fault_streams_reproduces_first_run(self):
         array = SystolicArray()
