@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from pathlib import Path
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.jsonl import append_lines
+from repro.jsonl import append_lines, shared_log
 from repro.jsonl import atomic_write_text as _atomic_write_text
 from repro.jsonl import file_lock as _file_lock
 
@@ -136,6 +135,12 @@ class FitnessCache:
         self._scope_token = None
 
 
+def _parse_entry(line: Union[str, bytes]) -> Tuple[str, float]:
+    """One ``fitness.jsonl`` line as ``(key, fitness)``; raises on a torn line."""
+    entry = json.loads(line)
+    return str(entry["key"]), float(entry["fitness"])
+
+
 class PersistentFitnessCache:
     """Cross-run fitness cache: one directory, shared between workers.
 
@@ -154,8 +159,9 @@ class PersistentFitnessCache:
 
     Thread-safe within a process; cross-process appends are serialised
     with the same advisory ``fcntl`` lock discipline as the campaign
-    store, and the in-memory view refreshes by index size so concurrent
-    workers observe each other's entries.
+    store.  Every instance on one directory shares the process-wide
+    :class:`~repro.jsonl.AppendLog` view of the index, which parses each
+    entry once and tails the appends of concurrent workers.
     """
 
     INDEX_FILE = "fitness.jsonl"
@@ -166,9 +172,7 @@ class PersistentFitnessCache:
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = Path(root)
         self.stats = CacheStats()
-        self._lock = threading.Lock()
-        self._entries: Dict[str, float] = {}
-        self._loaded_size = -1
+        self._log = shared_log(self.index_path, _parse_entry)
 
     @property
     def index_path(self) -> Path:
@@ -198,35 +202,13 @@ class PersistentFitnessCache:
             + "\n",
         )
 
-    def _refresh_locked(self) -> None:
-        """Re-read the index if another process has grown it."""
-        if not self.index_path.exists():
-            return
-        size = self.index_path.stat().st_size
-        if size == self._loaded_size:
-            return
-        entries: Dict[str, float] = {}
-        for line in self.index_path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                entries[str(entry["key"])] = float(entry["fitness"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                # A publisher killed mid-append: drop the fragment; the
-                # evaluation is simply recomputed until republished.
-                continue
-        self._entries = entries
-        self._loaded_size = size
-
     # ------------------------------------------------------------------ #
     def lookup(self, keys: Iterable[str]) -> Dict[str, float]:
         """The cached fitness of every known key (hits/misses counted)."""
         keys = list(keys)
-        with self._lock:
-            self._refresh_locked()
-            found = {key: self._entries[key] for key in keys if key in self._entries}
+        with self._log.lock:
+            entries = self._log.refresh_locked()
+            found = {key: entries[key] for key in keys if key in entries}
         self.stats.hits += len(found)
         self.stats.misses += len(keys) - len(found)
         return found
@@ -241,14 +223,10 @@ class PersistentFitnessCache:
         if not values:
             return 0
         self._ensure_root()
-        with self._lock:
+        with self._log.lock:
             with _file_lock(self.lock_path):
-                self._refresh_locked()
-                fresh = {
-                    key: value
-                    for key, value in values.items()
-                    if key not in self._entries
-                }
+                entries = self._log.refresh_locked()
+                fresh = {key: value for key, value in values.items() if key not in entries}
                 if not fresh:
                     return 0
                 lines = "".join(
@@ -256,16 +234,13 @@ class PersistentFitnessCache:
                     for key, value in fresh.items()
                 )
                 append_lines(self.index_path, lines)
-                self._entries.update(fresh)
-                self._loaded_size = self.index_path.stat().st_size
         return len(fresh)
 
     # ------------------------------------------------------------------ #
     def summary(self) -> Dict[str, Any]:
         """Index statistics for the ``repro-ehw cache`` subcommand."""
-        with self._lock:
-            self._refresh_locked()
-            entries = len(self._entries)
+        with self._log.lock:
+            entries = len(self._log.refresh_locked())
         size = self.index_path.stat().st_size if self.index_path.exists() else 0
         return {
             "root": str(self.root),
@@ -277,7 +252,7 @@ class PersistentFitnessCache:
     def prune(self) -> Dict[str, int]:
         """Compact the index: drop duplicate/corrupt lines, keep first wins."""
         self._ensure_root()
-        with self._lock:
+        with self._log.lock:
             with _file_lock(self.lock_path):
                 kept: Dict[str, float] = {}
                 total = dropped = 0
@@ -288,10 +263,8 @@ class PersistentFitnessCache:
                             continue
                         total += 1
                         try:
-                            entry = json.loads(line)
-                            key = str(entry["key"])
-                            value = float(entry["fitness"])
-                        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                            key, value = _parse_entry(line)
+                        except (KeyError, TypeError, ValueError):
                             dropped += 1
                             continue
                         if key in kept:
@@ -305,8 +278,6 @@ class PersistentFitnessCache:
                         for key, value in kept.items()
                     ),
                 )
-                self._entries = kept
-                self._loaded_size = self.index_path.stat().st_size
         return {"lines": total, "kept": len(kept), "dropped": dropped}
 
     def verify(self) -> List[str]:
@@ -327,10 +298,8 @@ class PersistentFitnessCache:
             if not line:
                 continue
             try:
-                entry = json.loads(line)
-                key = str(entry["key"])
-                value = float(entry["fitness"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                key, value = _parse_entry(line)
+            except (KeyError, TypeError, ValueError):
                 problems.append(f"line {lineno}: unparseable index entry")
                 continue
             if len(key) != 64 or any(c not in "0123456789abcdef" for c in key):

@@ -14,10 +14,10 @@ Two rules:
   and flags writes to those attributes outside a lock context.  The
   repo-wide convention that a ``*_locked`` function is only called with
   the lock already held is honoured.  The known shared hot spots
-  (``WorkQueue``, ``DedupeCache``, the process-global plane/LUT stores
-  of the compiled backend) are *designated* explicitly, so the rule
-  fires even when a store has no lock at all yet — exactly the failure
-  mode inference alone cannot see.
+  (``WorkQueue``, the shared ``AppendLog`` index views, the
+  process-global plane/LUT stores of the compiled backend) are
+  *designated* explicitly, so the rule fires even when a store has no
+  lock at all yet — exactly the failure mode inference alone cannot see.
 """
 
 from __future__ import annotations
@@ -61,18 +61,18 @@ _CONSTRUCTOR_METHODS = ("__init__", "__post_init__", "__new__")
 #: violation.
 DESIGNATED_CLASS_ATTRS: Dict[str, Set[str]] = {
     "WorkQueue": {"_items", "_pending", "_by_lease"},
-    "DedupeCache": {"_entries", "_loaded_size"},
-    # The persistent fitness-cache tier is shared between campaign workers
-    # under the same refresh-by-size discipline as DedupeCache.
-    "PersistentFitnessCache": {"_entries", "_loaded_size"},
+    # The process-shared index view under DedupeCache and the persistent
+    # fitness-cache tier, which every instance on one file refreshes.
+    "AppendLog": {"entries", "parsed_lines", "_offset", "_identity", "_head"},
 }
 
 #: Module-global stores guarded by contract (matched by rel-path suffix):
-#: the compiled backend's content-addressed program stores and the
-#: process-global lookup-table caches.
+#: the compiled backend's content-addressed program stores, the
+#: process-global lookup-table caches and the table of shared index views.
 DESIGNATED_MODULE_GLOBALS: Dict[str, Set[str]] = {
     "repro/backends/compiled.py": {"_STORES", "_STORE_HINT"},
     "repro/backends/lut.py": {"_pair_luts", "_unary_luts", "_chain_luts", "_fused_luts"},
+    "repro/jsonl.py": {"_VIEWS"},
 }
 
 

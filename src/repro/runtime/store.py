@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.api.artifact import RunArtifact
-from repro.jsonl import append_lines
+from repro.jsonl import append_lines, shared_log
 from repro.jsonl import atomic_write_text as _atomic_write_text
 from repro.jsonl import file_lock as _file_lock
 from repro.runtime.campaign import CampaignSpec, RunSpec
@@ -292,6 +291,12 @@ class CampaignStore:
         return summary
 
 
+def _parse_signature(line: bytes) -> Tuple[str, Dict[str, Any]]:
+    """One ``signatures.jsonl`` line as ``(signature, entry)``."""
+    entry = json.loads(line)
+    return entry["signature"], entry
+
+
 class DedupeCache:
     """Content-addressed artifact cache shared *across* campaign stores.
 
@@ -311,7 +316,11 @@ class DedupeCache:
     publishers of one signature hold byte-identical artifacts.
 
     Thread-safe within a process; cross-process appends are serialised
-    with the same advisory ``fcntl`` lock the store index uses.
+    with the same advisory ``fcntl`` lock the store index uses.  A
+    publisher killed mid-append wrote its artifact first (atomically), so
+    the torn index line it leaves only hides that signature until it is
+    republished.  Every instance on one directory shares the process-wide
+    :class:`~repro.jsonl.AppendLog` view of the index.
     """
 
     INDEX_FILE = "signatures.jsonl"
@@ -320,9 +329,7 @@ class DedupeCache:
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = Path(root)
-        self._lock = threading.Lock()
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._loaded_size = -1
+        self._log = shared_log(self.index_path, _parse_signature)
 
     @property
     def index_path(self) -> Path:
@@ -340,34 +347,10 @@ class DedupeCache:
         return self.artifacts_dir / f"{signature}.json"
 
     # ------------------------------------------------------------------ #
-    def _refresh_locked(self) -> None:
-        """Re-read the index if another process has grown it."""
-        if not self.index_path.exists():
-            return
-        size = self.index_path.stat().st_size
-        if size == self._loaded_size:
-            return
-        entries: Dict[str, Dict[str, Any]] = {}
-        for line in self.index_path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                # A publisher killed mid-append; the artifact write happened
-                # first (and atomically), so dropping the fragment only means
-                # one signature goes unnoticed until republished.
-                continue
-            entries[entry["signature"]] = entry
-        self._entries = entries
-        self._loaded_size = size
-
     def signatures(self) -> Set[str]:
         """All signatures currently published."""
-        with self._lock:
-            self._refresh_locked()
-            return set(self._entries)
+        with self._log.lock:
+            return set(self._log.refresh_locked())
 
     def __len__(self) -> int:
         return len(self.signatures())
@@ -378,9 +361,8 @@ class DedupeCache:
     # ------------------------------------------------------------------ #
     def lookup(self, signature: str) -> Optional[Dict[str, Any]]:
         """The stored artifact dict for ``signature``, or ``None``."""
-        with self._lock:
-            self._refresh_locked()
-            if signature not in self._entries:
+        with self._log.lock:
+            if signature not in self._log.refresh_locked():
                 return None
         path = self.artifact_path(signature)
         try:
@@ -402,10 +384,9 @@ class DedupeCache:
         """
         self.root.mkdir(parents=True, exist_ok=True)
         self.artifacts_dir.mkdir(exist_ok=True)
-        with self._lock:
+        with self._log.lock:
             with _file_lock(self.lock_path):
-                self._refresh_locked()
-                if signature in self._entries:
+                if signature in self._log.refresh_locked():
                     return False
                 _atomic_write_text(
                     self.artifact_path(signature),
@@ -417,6 +398,4 @@ class DedupeCache:
                     **meta,
                 }
                 append_lines(self.index_path, json.dumps(entry, sort_keys=True) + "\n")
-                self._entries[signature] = entry
-                self._loaded_size = self.index_path.stat().st_size
         return True

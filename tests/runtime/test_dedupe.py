@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.jsonl import atomic_write_text
 from repro.runtime.engine import run_campaign
 from repro.runtime.store import CampaignStore, DedupeCache
 
@@ -66,6 +67,28 @@ class TestDedupeCache:
         reader = DedupeCache(tmp_path / "cache")
         assert reader.signatures() == {"sig-a", "sig-b"}
         assert reader.lookup("sig-b") == {"results": {"v": 2}}
+
+    def test_instances_share_one_index_view(self, tmp_path):
+        """Every instance on one directory reads the index through one
+        view, which parses each line once."""
+        first = DedupeCache(tmp_path / "cache")
+        second = DedupeCache(tmp_path / "cache")
+        assert first._log is second._log
+        first.publish("sig-a", {"results": {}})
+        second.publish("sig-b", {"results": {}})
+        assert first.signatures() == second.signatures() == {"sig-a", "sig-b"}
+        assert first._log.parsed_lines == 2
+
+    def test_rewritten_index_is_reloaded(self, tmp_path):
+        """A whole-file rewrite (new inode) drops the entries it no longer holds."""
+        cache = DedupeCache(tmp_path / "cache")
+        cache.publish("sig-a", {"results": {"v": 1}})
+        cache.publish("sig-b", {"results": {"v": 2}})
+        assert cache.signatures() == {"sig-a", "sig-b"}
+        kept = cache.index_path.read_text(encoding="utf-8").splitlines(keepends=True)[1]
+        atomic_write_text(cache.index_path, kept)
+        assert cache.signatures() == {"sig-b"}
+        assert cache.lookup("sig-a") is None
 
 
 class TestEngineDedupe:
