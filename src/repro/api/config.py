@@ -123,7 +123,8 @@ class PlatformConfig(_ConfigBase):
         Platform RNG seed (fault targeting, random candidates).
     backend:
         Evaluation backend of every array, by registry name
-        (``"reference"`` or ``"numpy"``; see :mod:`repro.backends`).
+        (``"reference"``, ``"numpy"``, or ``"compiled"``, an alias of
+        ``numpy`` kept for one release; see :mod:`repro.backends`).
         Backends are bit-exact against each other — this switch changes
         the simulation's wall-clock time only, never its results — so
         campaigns can sweep or pin it freely (``platform.backend`` axis,

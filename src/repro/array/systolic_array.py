@@ -229,7 +229,7 @@ class SystolicArray:
         Each faulty position owns an independent random stream; every
         evaluation of a candidate must consume exactly one ``(H, W)``
         block from it, in candidate order — that is the contract that
-        keeps all evaluation backends (and batch vs sequential paths)
+        keeps all evaluation backends (and population vs per-candidate calls)
         bit-exact on fault experiments.
         """
         return self._fault_rngs[position]
@@ -264,60 +264,11 @@ class SystolicArray:
         numpy.ndarray
             ``(H, W)`` uint8 output image.
         """
-        planes = np.asarray(planes)
-        if planes.ndim != 3 or planes.shape[0] != N_WINDOW_PIXELS:
-            raise ValueError(
-                f"planes must have shape (9, H, W), got {planes.shape}"
-            )
-        if planes.dtype != np.uint8:
-            raise TypeError(f"planes must be uint8, got {planes.dtype}")
-        spec = genotype.spec
-        if (spec.rows, spec.cols) != (self.geometry.rows, self.geometry.cols):
-            raise ValueError(
-                f"genotype geometry {spec.rows}x{spec.cols} does not match array "
-                f"{self.geometry.rows}x{self.geometry.cols}"
-            )
+        planes, _ = self._validate(planes, [genotype])
         return self._backend.process_planes(self, planes, genotype)
 
-    def process_planes_batch(
-        self, planes: np.ndarray, genotypes: Sequence[Genotype]
-    ) -> np.ndarray:
-        """Evaluate a batch of candidate circuits in one windowed NumPy pass.
-
-        This is the vectorised batch entry point of the backends: instead of
-        sweeping the array once per candidate (``len(genotypes)`` passes of
-        ``rows*cols`` whole-image operations each), the whole batch is handed
-        to the evaluation backend, which exploits the genes the candidates
-        share — a generation whose offspring differ from the parent in a few
-        genes (the common case under low mutation rates) costs close to
-        *one* array sweep instead of ``B``.  How the sharing is exploited is
-        the backend's business: ``reference`` groups candidates by function
-        gene per PE position, ``numpy`` memoises whole subcircuits (see
-        :mod:`repro.backends`).
-
-        The result is bit-identical to evaluating every candidate separately
-        with :meth:`process_planes`, on every backend: PE operations are
-        element-wise and each faulty PE draws its random planes from its own
-        generator once per candidate, in candidate order, exactly as the
-        sequential path does.
-
-        Parameters
-        ----------
-        planes:
-            ``(9, H, W)`` uint8 array from :func:`repro.array.window.extract_windows`.
-        genotypes:
-            The candidate circuits (all with this array's geometry).
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(B, H, W)`` uint8 array; slice ``b`` is candidate ``b``'s output.
-        """
-        planes, genotypes = self._validate_batch(planes, genotypes)
-        return self._backend.process_planes_batch(self, planes, genotypes)
-
-    def _validate_batch(self, planes, genotypes):
-        """Shared input validation of the batch/population entry points."""
+    def _validate(self, planes, genotypes):
+        """Input validation shared by both evaluation entry points."""
         planes = np.asarray(planes)
         if planes.ndim != 3 or planes.shape[0] != N_WINDOW_PIXELS:
             raise ValueError(f"planes must have shape (9, H, W), got {planes.shape}")
@@ -371,7 +322,7 @@ class SystolicArray:
         numpy.ndarray
             ``(B,)`` float64 array; entry ``b`` is candidate ``b``'s fitness.
         """
-        planes, genotypes = self._validate_batch(planes, genotypes)
+        planes, genotypes = self._validate(planes, genotypes)
         reference = np.asarray(reference)
         if reference.shape != planes.shape[1:]:
             raise ValueError(
@@ -386,10 +337,6 @@ class SystolicArray:
     def process(self, image: np.ndarray, genotype: Genotype) -> np.ndarray:
         """Evaluate a candidate circuit on an image (window extraction included)."""
         return self.process_planes(extract_windows(image), genotype)
-
-    def process_batch(self, image: np.ndarray, genotypes: Sequence[Genotype]) -> np.ndarray:
-        """Evaluate a batch of candidates on an image (window extraction included)."""
-        return self.process_planes_batch(extract_windows(image), genotypes)
 
     def process_stream(
         self, images: Iterable[np.ndarray], genotype: Genotype

@@ -26,12 +26,16 @@ Built-in engines:
   sweep, the behavioural ground truth;
 * ``numpy`` (:mod:`repro.backends.numpy_engine`) — vectorised lowering
   with memoised subcircuits and dead-PE elimination; bit-exact against
-  ``reference`` and >=5x faster on the evolution workload;
-* ``compiled`` (:mod:`repro.backends.compiled`) — genotypes lowered to
-  fused 256x256 lookup-table kernels over packed contiguous plane
-  storage, with process-global content-addressed compilation caches;
-  bit-exact against ``reference`` and >=5x faster than ``numpy`` on the
-  repeated-workload evolution benchmark.
+  ``reference`` and several times faster at the paper's 128x128 and
+  256x256 image scales.
+
+``compiled`` is kept for one release as a registry alias of ``numpy``,
+so configs, campaign grids and run signatures that name it keep working
+with identical results:
+
+>>> from repro.backends import resolve_backend
+>>> type(resolve_backend("compiled")).__name__
+'NumpyBackend'
 
 See ``docs/architecture.md`` (backend section) and
 ``docs/performance.md`` for when and how to switch.
@@ -45,7 +49,6 @@ from repro.backends.base import (
     register_backend,
     resolve_backend,
 )
-from repro.backends.compiled import CompiledBackend
 from repro.backends.fitness_cache import CacheStats, FitnessCache, PersistentFitnessCache
 from repro.backends.numpy_engine import NumpyBackend
 from repro.backends.reference import ReferenceBackend
@@ -58,8 +61,8 @@ if "reference" not in BACKENDS:
     BACKENDS.register("reference", ReferenceBackend)
 if "numpy" not in BACKENDS:
     BACKENDS.register("numpy", NumpyBackend)
-if "compiled" not in BACKENDS:
-    BACKENDS.register("compiled", CompiledBackend)
+if "compiled" not in BACKENDS:  # alias of the removed LUT engine (drop in 4.0)
+    BACKENDS.register("compiled", NumpyBackend)
 
 __all__ = [
     "BACKENDS",
@@ -70,7 +73,6 @@ __all__ = [
     "resolve_backend",
     "ReferenceBackend",
     "NumpyBackend",
-    "CompiledBackend",
     "CacheStats",
     "FitnessCache",
     "PersistentFitnessCache",

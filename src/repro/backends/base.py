@@ -12,7 +12,7 @@ API one):
 >>> sorted(BACKENDS.names())
 ['compiled', 'numpy', 'reference']
 
-Three engines ship built in:
+Two engines ship built in:
 
 ``reference``
     The readable per-PE sweep (one whole-plane NumPy op per PE), the
@@ -21,10 +21,9 @@ Three engines ship built in:
     A vectorised engine that lowers each genotype to a plane-level
     pipeline with hash-consed common-subexpression caching and
     dead-PE elimination (see :mod:`repro.backends.numpy_engine`).
-``compiled``
-    A kernel-compiling engine: programs lower to fused 256x256
-    lookup-table gathers over packed contiguous plane storage, cached
-    process-globally by content (see :mod:`repro.backends.compiled`).
+
+``compiled`` names the same class as ``numpy`` (a registry alias kept
+for one release after the LUT engine was removed).
 
 Swapping backends can change wall-clock time only, never results —
 the parity suite in ``tests/backends/`` enforces bit-exactness over
@@ -64,7 +63,12 @@ __all__ = [
 
 
 class EvaluationBackend:
-    """Evaluation engine contract: planes + genotype(s) in, output planes out.
+    """Evaluation engine contract: planes + genotype(s) in, outputs out.
+
+    Two entry points: :meth:`evaluate_population` scores a candidate
+    population (what every evolution driver calls), and
+    :meth:`process_planes` returns one candidate's output pixels (mission
+    processing, cascades, imitation and criticality analysis).
 
     A backend receives *validated* inputs — the owning
     :class:`~repro.array.systolic_array.SystolicArray` has already checked
@@ -97,18 +101,6 @@ class EvaluationBackend:
         """Evaluate one candidate on ``(9, H, W)`` planes; returns ``(H, W)`` uint8."""
         raise NotImplementedError
 
-    def process_planes_batch(
-        self, array: "SystolicArray", planes: np.ndarray, genotypes: Sequence["Genotype"]
-    ) -> np.ndarray:
-        """Evaluate a candidate batch; returns ``(B, H, W)`` uint8.
-
-        The default implementation loops over :meth:`process_planes`,
-        which is always bit-exact; engines override it with a faster
-        batched path.
-        """
-        outputs = [self.process_planes(array, planes, genotype) for genotype in genotypes]
-        return np.stack(outputs)
-
     def evaluate_population(
         self,
         array: "SystolicArray",
@@ -125,18 +117,18 @@ class EvaluationBackend:
         work *across* the population and skip materialising per-candidate
         output planes entirely.
 
-        The default implementation loops through
-        :meth:`process_planes_batch` (itself a loop over
-        :meth:`process_planes` unless the engine overrides it) and reduces
-        the stacked outputs — always bit-exact, including the fault-RNG
-        contract: every faulty position draws one ``(H, W)`` block per
-        candidate, in candidate order, exactly like per-candidate
-        evaluation.  Returned values are integral-valued float64 and must
-        equal ``sae(output_b, reference)`` for every candidate ``b``.
+        The default implementation evaluates the candidates one at a time
+        with :meth:`process_planes` and reduces the stacked outputs with
+        :func:`~repro.imaging.metrics.sae_batch` — always bit-exact,
+        including the fault-RNG contract (every faulty position draws one
+        ``(H, W)`` block per candidate, in candidate order), so a
+        third-party engine only has to implement :meth:`process_planes`.
+        Returned values are integral-valued float64 and must equal
+        ``sae(output_b, reference)`` for every candidate ``b``.
         """
         from repro.imaging.metrics import sae_batch
 
-        outputs = self.process_planes_batch(array, planes, genotypes)
+        outputs = np.stack([self.process_planes(array, planes, g) for g in genotypes])
         return sae_batch(outputs, reference).astype(np.float64)
 
     def clear_cache(self) -> None:
@@ -231,9 +223,10 @@ def register_backend(name: str, obj: Any = None, *, replace: bool = False):
 def resolve_backend(spec: Union[str, EvaluationBackend, type, None]) -> EvaluationBackend:
     """Resolve a backend selector into a ready instance.
 
-    Accepts a registered name (``"reference"``/``"numpy"``/``"compiled"``), an
-    :class:`EvaluationBackend` instance (returned as-is), a backend class
-    (instantiated), or ``None`` (the ``reference`` default).
+    Accepts a registered name (``"reference"``/``"numpy"``, or the
+    ``"compiled"`` alias of ``numpy``), an :class:`EvaluationBackend`
+    instance (returned as-is), a backend class (instantiated), or ``None``
+    (the ``reference`` default).
 
     >>> from repro.backends import resolve_backend
     >>> resolve_backend(None).name

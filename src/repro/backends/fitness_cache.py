@@ -1,10 +1,10 @@
 """The unified fitness cache: one audited memo behind every evaluation path.
 
-Before the staged fitness pipeline, three divergent fitness memos existed
-side by side: the numpy engine's per-(store, reference, node) dict, the
-compiled engine's copy of the same, and ``ArrayEvalContext``'s
-genotype-keyed cache that silently disabled itself on fault-tainted
-arrays.  This module replaces all three with two audited components:
+Before the staged fitness pipeline, divergent fitness memos existed side
+by side: per-engine (store, reference, node) dicts and
+``ArrayEvalContext``'s genotype-keyed cache that silently disabled
+itself on fault-tainted arrays.  This module replaces them with two
+audited components:
 
 * :class:`FitnessCache` — the in-process tier.  A bounded, scope-aware
   mapping from a caller-chosen key (a hash-consed node id inside a

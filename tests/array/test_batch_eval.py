@@ -1,4 +1,4 @@
-"""Batched evaluation: bit-exact parity with per-candidate evaluation."""
+"""Population evaluation: bit-exact parity with per-candidate evaluation."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.array.genotype import Genotype, GenotypeSpec
 from repro.array.systolic_array import SystolicArray
 from repro.array.window import extract_windows
 from repro.ea.mutation import mutate
+from repro.imaging.metrics import sae
 
 
 @pytest.fixture
@@ -19,63 +20,76 @@ def random_batch(spec, rng, n=9, mutation_rate=3):
     return [parent] + [mutate(parent, mutation_rate, rng).genotype for _ in range(n - 1)]
 
 
-class TestProcessPlanesBatchParity:
+def sequential_fitness(array, planes, genotypes, reference):
+    return [sae(array.process_planes(planes, genotype), reference) for genotype in genotypes]
+
+
+class TestEvaluatePopulationParity:
+    """``evaluate_population`` equals per-candidate ``process_planes`` + ``sae``."""
+
     def test_matches_sequential_for_mutated_offspring(self, array, spec, planes, rng):
         batch = random_batch(spec, rng)
-        batched = array.process_planes_batch(planes, batch)
-        for genotype, output in zip(batch, batched):
-            assert np.array_equal(output, array.process_planes(planes, genotype))
+        reference = planes[4]
+        values = array.evaluate_population(planes, batch, reference)
+        assert values.tolist() == sequential_fitness(array, planes, batch, reference)
 
     def test_matches_sequential_for_unrelated_candidates(self, array, spec, planes, rng):
         batch = [Genotype.random(spec, rng) for _ in range(7)]
-        batched = array.process_planes_batch(planes, batch)
-        for genotype, output in zip(batch, batched):
-            assert np.array_equal(output, array.process_planes(planes, genotype))
+        reference = planes[0]
+        values = array.evaluate_population(planes, batch, reference)
+        assert values.tolist() == sequential_fitness(array, planes, batch, reference)
 
-    def test_single_candidate_batch(self, array, spec, planes, rng):
+    def test_single_candidate_population(self, array, spec, planes, rng):
         genotype = Genotype.random(spec, rng)
-        batched = array.process_planes_batch(planes, [genotype])
-        assert np.array_equal(batched[0], array.process_planes(planes, genotype))
+        reference = planes[4]
+        values = array.evaluate_population(planes, [genotype], reference)
+        assert values.tolist() == sequential_fitness(array, planes, [genotype], reference)
 
-    def test_identity_batch(self, array, spec, small_image):
+    def test_identity_population(self, array, spec, small_image):
         batch = [Genotype.identity(spec)] * 4
-        batched = array.process_batch(small_image, batch)
-        for output in batched:
-            assert np.array_equal(output, small_image)
+        values = array.evaluate_population(extract_windows(small_image), batch, small_image)
+        assert values.tolist() == [0.0] * 4
 
     def test_faulty_array_consumes_rng_in_candidate_order(self, spec, planes, rng):
-        """With faults, batched evaluation must draw the same random planes
-        in the same order as sequential evaluation would."""
+        """With faults, population evaluation must draw the same random
+        planes in the same order as sequential evaluation would."""
         batch = random_batch(spec, rng, n=6)
+        reference = planes[4]
 
         sequential_array = SystolicArray()
         sequential_array.inject_fault((1, 1), seed=77)
         sequential_array.inject_fault((2, 3), seed=88)
-        sequential = [sequential_array.process_planes(planes, g) for g in batch]
+        sequential = sequential_fitness(sequential_array, planes, batch, reference)
 
-        batched_array = SystolicArray()
-        batched_array.inject_fault((1, 1), seed=77)
-        batched_array.inject_fault((2, 3), seed=88)
-        batched = batched_array.process_planes_batch(planes, batch)
+        population_array = SystolicArray()
+        population_array.inject_fault((1, 1), seed=77)
+        population_array.inject_fault((2, 3), seed=88)
+        values = population_array.evaluate_population(planes, batch, reference)
 
-        for expected, output in zip(sequential, batched):
-            assert np.array_equal(output, expected)
+        assert values.tolist() == sequential
 
-    def test_rejects_empty_batch(self, array, planes):
+    def test_rejects_empty_population(self, array, planes):
         with pytest.raises(ValueError, match="at least one"):
-            array.process_planes_batch(planes, [])
+            array.evaluate_population(planes, [], planes[4])
 
     def test_rejects_geometry_mismatch(self, array, planes, rng):
         wrong = Genotype.random(GenotypeSpec(rows=2, cols=2), rng)
         with pytest.raises(ValueError, match="does not match"):
-            array.process_planes_batch(planes, [wrong])
+            array.evaluate_population(planes, [wrong], planes[4])
+        with pytest.raises(ValueError, match="does not match"):
+            array.process_planes(planes, wrong)
 
     def test_rejects_bad_planes(self, array, spec, rng):
         genotype = Genotype.random(spec, rng)
-        with pytest.raises(ValueError):
-            array.process_planes_batch(np.zeros((4, 8, 8), dtype=np.uint8), [genotype])
-        with pytest.raises(TypeError):
-            array.process_planes_batch(np.zeros((9, 8, 8), dtype=np.int32), [genotype])
+        reference = np.zeros((8, 8), dtype=np.uint8)
+        for evaluate in (
+            lambda planes: array.evaluate_population(planes, [genotype], reference),
+            lambda planes: array.process_planes(planes, genotype),
+        ):
+            with pytest.raises(ValueError, match=r"shape \(9, H, W\)"):
+                evaluate(np.zeros((4, 8, 8), dtype=np.uint8))
+            with pytest.raises(TypeError, match="must be uint8"):
+                evaluate(np.zeros((9, 8, 8), dtype=np.int32))
 
 
 class TestEvaluateBatchParity:

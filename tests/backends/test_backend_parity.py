@@ -3,8 +3,9 @@
 The acceptance bar of the backend subsystem: over every PE operation,
 every processing mode and every fault pattern, the numpy engine must
 produce byte-identical planes (and therefore identical fitness) to the
-readable per-PE reference sweep — cold cache, warm cache, single or
-batched, interleaved in any order.
+readable per-PE reference sweep — cold cache, warm cache, one candidate
+(``process_planes``) or a population (``evaluate_population``),
+interleaved in any order.
 """
 
 import numpy as np
@@ -92,9 +93,10 @@ class TestRandomCircuits:
                 reference.process_planes(planes, genotype),
                 numpy_array.process_planes(planes, genotype),
             )
-        expected = reference.process_planes_batch(planes, genotypes[:16])
-        produced = numpy_array.process_planes_batch(planes, genotypes[:16])
-        assert np.array_equal(expected, produced)
+        target = planes[4]
+        expected = [sae(reference.process_planes(planes, g), target) for g in genotypes[:16]]
+        for array in (reference, numpy_array):
+            assert array.evaluate_population(planes, genotypes[:16], target).tolist() == expected
 
     def test_non_square_geometry(self):
         geometry = ArrayGeometry(rows=3, cols=5)
@@ -158,17 +160,26 @@ class TestFaultPatterns:
                     ), (row, col)
 
     def test_multi_fault_interleaved_single_and_batch(self):
-        """Per-position RNG streams stay aligned across mixed call patterns."""
+        """Per-position RNG streams stay aligned across mixed call patterns.
+
+        Population steps alternate which engine scores the population and
+        which one scores it candidate by candidate, so both entry points
+        of both engines consume the streams in the same order.
+        """
         planes = extract_windows(_image())
+        target = planes[4]
         faults = [((0, 0), 3), ((1, 2), 5), ((3, 3), 8)]
         reference, numpy_array = _pair_of_arrays(faults=faults)
         rng = np.random.default_rng(13)
         for step in range(12):
             if step % 3 == 2:
                 batch = [Genotype.random(SPEC, rng) for _ in range(5)]
-                assert np.array_equal(
-                    reference.process_planes_batch(planes, batch),
-                    numpy_array.process_planes_batch(planes, batch),
+                population, single = (
+                    (reference, numpy_array) if step % 2 else (numpy_array, reference)
+                )
+                expected = [sae(single.process_planes(planes, g), target) for g in batch]
+                assert population.evaluate_population(planes, batch, target).tolist() == (
+                    expected
                 ), step
             else:
                 genotype = Genotype.random(SPEC, rng)
@@ -315,15 +326,12 @@ def test_property_random_circuits_and_faults(genotype_seed, image_seed, faults, 
     rng = np.random.default_rng(genotype_seed)
     genotypes = [Genotype.random(SPEC, rng) for _ in range(batch_size)]
 
-    expected = reference.process_planes_batch(planes, genotypes)
-    produced = numpy_array.process_planes_batch(planes, genotypes)
-    assert np.array_equal(expected, produced)
-
-    # Identical planes imply identical fitness; assert it anyway on the
-    # full batch so the contract is stated where campaigns rely on it.
+    # Per-candidate reference outputs against the numpy population fitness:
+    # both calls draw one block per faulty position per candidate.
     target = planes[4]
-    for row_expected, row_produced in zip(expected, produced):
-        assert sae(row_expected, target) == sae(row_produced, target)
+    expected = [sae(reference.process_planes(planes, g), target) for g in genotypes]
+    produced = numpy_array.evaluate_population(planes, genotypes, target)
+    assert produced.tolist() == expected
 
     # A follow-up single evaluation must agree too (same RNG stream state).
     follow_up = Genotype.random(SPEC, rng)

@@ -7,7 +7,6 @@ from repro.api.config import PlatformConfig
 from repro.array.systolic_array import SystolicArray
 from repro.backends import (
     BACKENDS,
-    CompiledBackend,
     EvaluationBackend,
     NumpyBackend,
     ReferenceBackend,
@@ -71,7 +70,7 @@ class TestResolve:
     def test_by_name(self):
         assert isinstance(resolve_backend("numpy"), NumpyBackend)
         assert isinstance(resolve_backend("reference"), ReferenceBackend)
-        assert isinstance(resolve_backend("compiled"), CompiledBackend)
+        assert isinstance(resolve_backend("compiled"), NumpyBackend)
 
     def test_instance_passthrough(self):
         backend = NumpyBackend()
@@ -85,6 +84,47 @@ class TestResolve:
             resolve_backend(42)
         with pytest.raises(UnknownBackendError):
             resolve_backend("bogus")
+
+
+class TestCompiledAlias:
+    """``compiled`` stays a registry name of the numpy engine for one release."""
+
+    #: run_signature of the run below, recorded while ``compiled`` was still
+    #: its own engine: the alias must not move dedupe keys or store ids.
+    COMPILED_RUN_SIGNATURE = (
+        "201bec53af8cb98ccc13b0cdd3b6eb5019c393aa083c6b12a9b828476abae7ea"
+    )
+
+    def test_resolves_to_a_numpy_backend(self):
+        assert BACKENDS.get("compiled") is NumpyBackend
+        backend = resolve_backend("compiled")
+        assert isinstance(backend, NumpyBackend)
+        assert backend.name == "numpy"
+
+    def test_run_signature_is_unchanged(self):
+        from repro.api import EvolutionConfig, TaskSpec
+        from repro.api.signature import run_signature
+
+        platform = PlatformConfig(seed=1, backend="compiled")
+        assert PlatformConfig.from_dict(platform.to_dict()).backend == "compiled"
+        signature = run_signature(
+            runner="evolve",
+            seed=7,
+            platform=platform,
+            evolution=EvolutionConfig(seed=2),
+            task=TaskSpec(seed=3),
+        )
+        assert signature == self.COMPILED_RUN_SIGNATURE
+
+
+class TestProtocol:
+    def test_two_evaluation_entry_points(self):
+        public = {
+            name
+            for name, value in vars(EvaluationBackend).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert public == {"process_planes", "evaluate_population", "clear_cache"}
 
 
 class TestWiring:

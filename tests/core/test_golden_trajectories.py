@@ -16,8 +16,11 @@ fixes the RNG draw order of the mutation operator.
 The fixture was recorded while the simulator still had three generation
 paths (per-candidate, batched and population-at-a-time); all three
 produced these exact records, so the fixture is the contract the single
-population step has to keep.  Re-record only after a deliberate
-trajectory change::
+population step has to keep.  Likewise the ``compiled`` rows were
+recorded by the LUT engine that name used to select; it is now a
+registry alias of ``numpy``, and these rows pin the alias to the old
+engine's trajectories.  Re-record only after a deliberate trajectory
+change::
 
     PYTHONPATH=src python tests/core/test_golden_trajectories.py --record
 """

@@ -37,7 +37,7 @@ from repro.ea.strategy import OnePlusLambdaES
 from repro.imaging.images import make_training_pair
 from repro.imaging.metrics import sae
 
-BACKENDS = ("reference", "numpy", "compiled")
+BACKENDS = ("reference", "numpy")
 FAULTS = ("healthy", "faulty")
 
 
