@@ -71,7 +71,7 @@ from repro.core import (
 from repro.runtime import CampaignSpec, CampaignStore, run_campaign
 from repro.timing import EvolutionTimingModel
 
-__version__ = "3.0.0"
+__version__ = "3.1.0"
 
 __all__ = [
     "analysis",

@@ -98,28 +98,32 @@ class GenerationScheduler:
         GenerationTiming
             The timing record, also appended to :attr:`history`.
         """
-        counts = [int(c) for c in reconfigurations_per_offspring]
-        if not counts:
-            raise ValueError("a generation must evaluate at least one offspring")
-        if any(c < 0 for c in counts):
-            raise ValueError("reconfiguration counts must be non-negative")
         model = self.timing_model
-        n_offspring = len(counts)
-        n_batches = -(-n_offspring // self.n_arrays)
-
-        reconfiguration_s = model.reconfiguration_time_s(sum(counts))
-        evaluation_s = n_batches * model.evaluation_time_s(self.n_pixels)
+        reconfiguration_time_s = model.reconfiguration_time_s
+        mutation_time_s = model.microblaze.mutation_time_s
+        candidate_evaluation_s = model.evaluation_time_s(self.n_pixels)
+        evaluation_share_s = candidate_evaluation_s / self.n_arrays
 
         # Mutation software time is overlapped with the previous candidate's
         # hardware activity; only the excess is charged.
         software_exposed = 0.0
-        for count in counts:
-            mutation = model.microblaze.mutation_time_s(max(1, count))
-            slot = model.reconfiguration_time_s(count) + model.evaluation_time_s(
-                self.n_pixels
-            ) / self.n_arrays
+        n_offspring = n_pe_reconfigurations = 0
+        for raw_count in reconfigurations_per_offspring:
+            count = int(raw_count)
+            if count < 0:
+                raise ValueError("reconfiguration counts must be non-negative")
+            n_offspring += 1
+            n_pe_reconfigurations += count
+            mutation = mutation_time_s(max(1, count))
+            slot = reconfiguration_time_s(count) + evaluation_share_s
             if mutation > slot:
                 software_exposed += mutation - slot
+        if not n_offspring:
+            raise ValueError("a generation must evaluate at least one offspring")
+        n_batches = -(-n_offspring // self.n_arrays)
+
+        reconfiguration_s = reconfiguration_time_s(n_pe_reconfigurations)
+        evaluation_s = n_batches * candidate_evaluation_s
         software_s = (
             software_exposed
             + model.microblaze.selection_time_s(n_offspring)
@@ -130,7 +134,7 @@ class GenerationScheduler:
             generation=len(self.history) + 1,
             n_offspring=n_offspring,
             n_batches=n_batches,
-            n_pe_reconfigurations=sum(counts),
+            n_pe_reconfigurations=n_pe_reconfigurations,
             reconfiguration_s=reconfiguration_s,
             evaluation_s=evaluation_s,
             software_s=software_s,

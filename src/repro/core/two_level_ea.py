@@ -75,23 +75,21 @@ class TwoLevelMutationEvolution(ParallelEvolution):
         the reconfiguration engine has almost nothing to rewrite.
 
         The chained mutations make each offspring depend on the flat gene
-        vector of its predecessor on the same array, so the whole plan is
-        built over flat vectors through the shared
-        :class:`~repro.ea.mutation.PopulationMutator`, in plan order.
+        vector of its predecessor on the same array, so the plan is built
+        over flat vectors through the shared
+        :class:`~repro.ea.mutation.PopulationMutator`: one call per batch,
+        whose sources are the parent (batch 0) or the previous batch's
+        children, in plan order.
         """
         mutator = population_mutator(parent.spec)
-        parent_flat = mutator.to_flat(parent)
+        sources = np.broadcast_to(mutator.to_flat(parent), (self.n_arrays, mutator.n_genes))
+        rate = self.mutation_rate
         plan: List[Tuple[int, MutationResult]] = []
-        previous_flats: List[np.ndarray] = []
-        for batch in range(-(-self.n_offspring // self.n_arrays)):
-            current_flats: List[np.ndarray] = []
-            for slot in range(min(self.n_arrays, self.n_offspring - len(plan))):
-                if batch == 0:
-                    source_flat, rate = parent_flat, self.mutation_rate
-                else:  # every batch before the last is full
-                    source_flat, rate = previous_flats[slot], self.low_mutation_rate
-                child_flat, mutation = mutator.mutate_flat(source_flat, rate, self.rng)
-                plan.append((slot, mutation))
-                current_flats.append(child_flat)
-            previous_flats = current_flats
+        while len(plan) < self.n_offspring:
+            width = min(self.n_arrays, self.n_offspring - len(plan))
+            # Every batch before the last is full, so slot j of this batch
+            # chains from slot j of the previous one.
+            sources, mutations = mutator.mutate_flat(sources[:width], rate, self.rng)
+            plan.extend(enumerate(mutations))
+            rate = self.low_mutation_rate
         return plan
